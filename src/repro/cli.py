@@ -196,13 +196,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .p2p.config import SystemConfig
     from .p2p.system import P2PSystem
 
-    config = SystemConfig.bench(
-        seed=args.seed,
-        bid_rounds_per_slot=1,
-        sharded_solve=args.sharded,
-        shard_workers=args.workers,
-    )
-    system = P2PSystem(config)
+    system = P2PSystem(SystemConfig.bench(seed=args.seed))
     system.populate_static(args.peers)
     sink = JsonlTraceSink(args.output)
     tracer = system.attach_tracer(sink)
@@ -211,7 +205,6 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
             system.run_slot()
     finally:
         tracer.close()
-        system.close()
     print(f"wrote {sink.n_records} slot spans -> {args.output}")
     return 0
 
@@ -344,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc_sub = trace.add_subparsers(dest="trace_action", required=True)
     trc_record = trc_sub.add_parser(
-        "record", help="run a static workload with tracing on, write JSONL"
+        "record",
+        help="trace SystemConfig.bench (as is, R=4) on a static swarm to JSONL",
     )
     trc_record.add_argument(
         "output", type=pathlib.Path, help="trace output path (.jsonl)"
@@ -354,14 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc_record.add_argument(
         "--slots", type=int, default=2, help="slots to run"
-    )
-    trc_record.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process shards)",
-    )
-    trc_record.add_argument(
-        "--sharded", action=argparse.BooleanOptionalAction, default=True,
-        help="use the region-sharded solver (default on)",
     )
     trc_record.set_defaults(func=_cmd_trace_record)
     trc_summarize = trc_sub.add_parser(

@@ -42,15 +42,6 @@ class SlotMetrics:
     retry_pending: int = 0
     link_delay_ms: float = 0.0
     link_regime: str = "ideal"
-    # Sharded-solve diagnostics (core/sharding.py), summed over the
-    # slot's bid rounds; zero/empty on flat-solver runs so existing
-    # consumers and archived outputs are unaffected.
-    coordination_rounds: int = 0
-    boundary_uploaders: int = 0
-    contested_rows: int = 0
-    sharded_fallbacks: int = 0
-    sharded_fallback_reason: str = ""
-    worker_fallbacks: int = 0
 
     @property
     def inter_isp_fraction(self) -> float:

@@ -19,6 +19,7 @@ __all__ = [
     "render_table",
     "sparkline",
     "series_block",
+    "table_without_timing",
 ]
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -58,6 +59,30 @@ def render_table(
         if r == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+#: Column names whose values are wall-clock measurements.
+TIMING_COLUMNS = frozenset({"seconds", "solve_seconds"})
+
+
+def table_without_timing(text: str) -> List[List[str]]:
+    """Cells of a :func:`render_table` table, timing columns dropped.
+
+    The deterministic content of an archived results table: two renders
+    of the same experiment compare equal here whatever their wall-clock
+    columns read.  Raises ``ValueError`` when a row does not split into
+    one whitespace-free cell per header name.
+    """
+    lines = [line for line in text.strip().splitlines() if line.strip()]
+    header = lines[0].split()
+    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
+    rows = [[header[i] for i in keep]]
+    for line in lines[2:]:  # skip the rule line
+        cells = line.split()
+        if len(cells) != len(header):
+            raise ValueError(f"not a {len(header)}-column table row: {line!r}")
+        rows.append([cells[i] for i in keep])
+    return rows
 
 
 def series_block(series: TimeSeries, label: Optional[str] = None) -> str:

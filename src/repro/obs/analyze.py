@@ -4,10 +4,9 @@ Loads JSONL slot traces (:mod:`repro.obs.trace` schema), aggregates
 them, and renders the comparison tables the CLI prints:
 
 * ``summarize`` — one trace: per-slot table plus whole-run totals.
-* ``diff`` — two traces side by side (e.g. ``workers=0`` vs
-  ``workers=2``, or flat vs sharded).  Only deterministic counters are
-  compared — timing never enters the table, so the rendering is stable
-  across machines and the committed example traces pin it.
+* ``diff`` — two traces side by side (e.g. cold vs incremental build,
+  or two seeds).  Only deterministic counters are compared — timing
+  never enters the table, so the rendering is stable across machines.
 * ``rollup`` — N traces, one row each: the cross-run dashboard that
   replaces ad-hoc BENCH-json spelunking (mean slot wall time is the one
   deliberately machine-dependent column).
@@ -63,8 +62,7 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
     intra = int(tot(lambda r: r["traffic"]["intra"]))
     due = int(tot(lambda r: r["playback"]["due"]))
     missed = int(tot(lambda r: r["playback"]["missed"]))
-    sharded = [r["sharded"] for r in records if r.get("sharded")]
-    out: Dict[str, object] = {
+    return {
         "slots": n,
         "peers_final": int(records[-1]["n_peers"]),
         "arrivals": int(tot(lambda r: r["arrivals"])),
@@ -89,41 +87,6 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
         "retry_succeeded": int(tot(lambda r: r["retry"]["succeeded"])),
         "transfers_failed": int(tot(lambda r: r["link"]["transfers_failed"])),
     }
-    if sharded:
-        out["coordination_rounds"] = int(
-            sum(s["coordination_rounds"] for s in sharded)
-        )
-        out["boundary_uploaders"] = int(
-            sum(s["boundary_uploaders"] for s in sharded)
-        )
-        out["contested_rows"] = int(sum(s["contested_rows"] for s in sharded))
-        out["sharded_fallbacks"] = int(sum(s["fallbacks"] for s in sharded))
-        out["procs"] = int(max(s["procs"] for s in sharded))
-        out["par_shards"] = int(sum(s["par_shards"] for s in sharded))
-        out["worker_fallbacks"] = int(
-            sum(s["worker_fallbacks"] for s in sharded)
-        )
-        out["blocks_republished"] = int(
-            sum(
-                s["blocks_republished"]
-                for s in sharded
-                if s["blocks_republished"] >= 0
-            )
-        )
-    return out
-
-
-#: Diff/rollup row order: every counter trace_totals can produce.
-_TOTAL_FIELDS = (
-    "slots", "peers_final", "arrivals", "departures", "requests", "served",
-    "welfare", "builds_cold", "builds_patch", "solver_rounds",
-    "bids_submitted", "price_updates", "evictions", "rows_evaluated",
-    "inter_isp", "intra_isp", "inter_frac", "due", "missed", "miss_rate",
-    "retry_attempts", "retry_succeeded", "transfers_failed",
-    "coordination_rounds", "boundary_uploaders", "contested_rows",
-    "sharded_fallbacks", "procs", "par_shards", "worker_fallbacks",
-    "blocks_republished",
-)
 
 
 def summarize_trace(
@@ -166,9 +129,6 @@ def summarize_trace(
         f"miss_rate={totals['miss_rate']:.4g}",
         f"rounds={totals['solver_rounds']}",
     ]
-    if "coordination_rounds" in totals:
-        parts.append(f"coord_rounds={totals['coordination_rounds']}")
-        parts.append(f"procs={totals['procs']}")
     lines.append("totals: " + " ".join(parts))
     return "\n".join(lines)
 
@@ -182,18 +142,13 @@ def diff_traces(
     """Counter-by-counter comparison of two traces (timing excluded).
 
     Rows are the shared deterministic totals; the delta column is
-    ``b − a`` for numeric fields.  Byte-equal deterministic bodies
-    (e.g. ``workers=0`` vs ``workers=2``, which are pinned identical)
-    diff to zero everywhere except the execution-shape fields
-    (``procs``, ``par_shards``, ``blocks_republished``).
+    ``b − a`` for numeric fields; byte-equal deterministic bodies
+    diff to zero everywhere.
     """
     ta, tb = trace_totals(a), trace_totals(b)
     rows: List[List[object]] = []
-    for field in _TOTAL_FIELDS:
-        if field not in ta and field not in tb:
-            continue
-        va = ta.get(field, 0)
-        vb = tb.get(field, 0)
+    for field, va in ta.items():
+        vb = tb[field]
         delta = vb - va
         rows.append(
             [
@@ -218,7 +173,7 @@ def rollup_traces(traces: Dict[str, List[dict]]) -> str:
     """
     headers = [
         "trace", "slots", "peers", "welfare", "served", "inter_frac",
-        "miss_rate", "rounds", "coord", "procs", "worker_fb", "slot_s",
+        "miss_rate", "rounds", "slot_s",
     ]
     rows: List[List[object]] = []
     for label, records in traces.items():
@@ -234,9 +189,6 @@ def rollup_traces(traces: Dict[str, List[dict]]) -> str:
                 float(totals["inter_frac"]),
                 float(totals["miss_rate"]),
                 totals["solver_rounds"],
-                totals.get("coordination_rounds", 0),
-                totals.get("procs", 0),
-                totals.get("worker_fallbacks", 0),
                 float(slot_s),
             ]
         )

@@ -4,15 +4,14 @@ One record per slot, assembled by :meth:`P2PSystem.run_slot` only when
 the attached sink is enabled.  The record is a plain dict in two parts:
 
 * the **deterministic body** — every counter the slot produced (churn,
-  build kind and delta reasons, solver work, sharded-coordination
-  diagnostics, retry pipeline, traffic split, playback misses).  Equal
-  seeds produce byte-equal bodies across runs and machines; the
-  property suite pins this.
+  build kind and delta reasons, solver work, retry pipeline, traffic
+  split, playback misses).  Equal seeds produce byte-equal bodies
+  across runs and machines; the property suite pins this.
 * the ``"timing"`` sub-dict — wall-clock phase durations (build, solve,
-  apply, playback, retries, whole slot) plus per-worker wall times from
-  the shard pool.  Timing is the only machine-dependent content, so
-  :func:`strip_timing` / :func:`canonical_line` remove exactly one key
-  to get the comparable form.
+  apply, playback, retries, whole slot).  Timing is the only
+  machine-dependent content, so :func:`strip_timing` /
+  :func:`canonical_line` remove exactly one key to get the comparable
+  form.
 
 Schema evolution: bump :data:`TRACE_SCHEMA_VERSION` when a field
 changes meaning; *adding* fields is compatible (``validate_trace_record``
@@ -103,9 +102,6 @@ def validate_trace_record(record: dict) -> None:
         for field in fields:
             if field not in block:
                 raise ValueError(f"trace record missing {group}.{field}")
-    sharded = record.get("sharded")
-    if sharded is not None and not isinstance(sharded, dict):
-        raise ValueError("field 'sharded' must be a dict or None")
 
 
 def strip_timing(record: dict) -> dict:

@@ -95,17 +95,8 @@ class SystemConfig:
     # ISP-friendly control exploits).  Off by default: a warm start can
     # leave a positive λ on an unsaturated uploader, voiding the CS-1
     # certificate, and all archived experiment outputs were produced
-    # cold.  ``warm_start_across_slots`` additionally carries the last
-    # round's λ over the slot boundary into the next slot's first round.
+    # cold.  Every slot's first round starts cold.
     warm_start_prices: bool = False
-    warm_start_across_slots: bool = False
-    # Decay applied to λ carried across a slot boundary (only meaningful
-    # with warm_start_across_slots): the carried vector is scaled by
-    # this factor and entries that fall below epsilon flush to exactly
-    # 0.  Raw carry (1.0) overprices transiently scarce uploaders — the
-    # next slot burns rounds walking stale prices back down; 0.0
-    # degenerates to a cold start every slot.
-    warm_price_decay: float = 0.5
 
     # Incremental cross-slot problem construction: retain each build's
     # flat candidate CSR in the peer-state store and patch only the row
@@ -113,32 +104,8 @@ class SystemConfig:
     # suppression, regime events) instead of reassembling from scratch
     # (P2PSystem.patch_problem).  Byte-identical problems either way —
     # property-pinned — so trajectories are unchanged; off by default so
-    # archived results regenerate on the cold reference path.  Pairs
-    # naturally with warm_start_across_slots so λ survives the boundary
-    # in the same mode, but does not require it.
+    # archived results regenerate on the cold reference path.
     incremental_build: bool = False
-
-    # Region-sharded solve path (core/sharding.py): partition each
-    # slot's problem by the requesting peer's ISP region, run the
-    # jacobi frontier per shard, and reconcile boundary uploader prices
-    # with a coordination round (flat re-solve of only the contested
-    # rows).  Same n·ε welfare certificate as the flat solve; off by
-    # default so the cold flat solve stays the pinned reference.
-    # shard_count = 0 shards one-per-ISP-region; an explicit count folds
-    # regions as ``region % shard_count`` (1 is byte-identical to the
-    # flat solver).  Composes with incremental_build: the sharded
-    # scheduler re-slices its per-region views from the delta-patched
-    # flat problem and revalidates the cached row partition per slot.
-    sharded_solve: bool = False
-    shard_count: int = 0
-    # Worker processes for the sharded solve's phase-1 shard solves and
-    # phase-2 contested re-solves (core/workers.py: a persistent pool
-    # over shared-memory numpy blocks).  0 — the default — keeps the
-    # solve in-process; results are byte-identical either way, and any
-    # pool failure degrades to the in-process path with a reason-coded
-    # fallback counter.  The REPRO_WORKERS environment variable
-    # overrides this at system construction.
-    shard_workers: int = 0
 
     # Per-ISP metrics rollup (obs/rollup.py): accumulate per-slot ×
     # per-ISP traffic/transit-cost/QoE counters during the run and
@@ -198,35 +165,6 @@ class SystemConfig:
             raise ValueError("upload multiple range is inverted")
         if self.bid_rounds_per_slot < 1:
             raise ValueError("bid_rounds_per_slot must be >= 1")
-        if self.warm_start_across_slots and not self.warm_start_prices:
-            raise ValueError(
-                "warm_start_across_slots requires warm_start_prices"
-            )
-        if not 0.0 <= self.warm_price_decay <= 1.0:
-            raise ValueError(
-                f"warm_price_decay must be in [0, 1], got "
-                f"{self.warm_price_decay!r}"
-            )
-        if self.shard_count < 0:
-            raise ValueError(
-                f"shard_count must be >= 0 (0 = per-ISP), got "
-                f"{self.shard_count!r}"
-            )
-        if self.sharded_solve and self.scheduler != "auction":
-            raise ValueError(
-                "sharded_solve decomposes the auction solve; scheduler "
-                f"{self.scheduler!r} does not support it"
-            )
-        if self.shard_workers < 0:
-            raise ValueError(
-                f"shard_workers must be >= 0 (0 = in-process), got "
-                f"{self.shard_workers!r}"
-            )
-        if self.shard_workers > 0 and not self.sharded_solve:
-            raise ValueError(
-                "shard_workers parallelizes the sharded solve; set "
-                "sharded_solve=True to use worker processes"
-            )
         if self.retry_backoff_base_slots < 1 or self.retry_backoff_cap_slots < 1:
             raise ValueError("retry backoff slots must be >= 1")
         if self.retry_ttl_slots < 1:

@@ -53,8 +53,6 @@ so a window starting at any playback position stays in bounds.
 
 from __future__ import annotations
 
-import weakref
-
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -127,32 +125,6 @@ class SlotDelta:
         """Record suppression-set row deletions/additions (system hook)."""
         self.retry_added.extend(int(p) for p in added_pids)
         self.retry_removed.extend(int(p) for p in removed_pids)
-
-    def touched_regions(self, isp_table: np.ndarray) -> Optional[Set[int]]:
-        """ISP regions whose rows this delta invalidated.
-
-        Keyed on the store's :meth:`PeerStateStore.isp_table` column
-        (−1 for peers already removed, e.g. departures recorded after
-        the row left the table).  Coarse flags (``playback_moved``,
-        ``costs_invalidated``, …) touch every region, signalled by
-        returning ``None`` — per-region consumers must treat that as
-        "all".  The sharded solve path uses this to bound which region
-        shards of a delta-patched problem can differ from the previous
-        slot's.
-        """
-        if (
-            self.playback_moved
-            or self.costs_invalidated
-            or self.membership_changed
-            or self.capacity_changed
-        ):
-            return None
-        pids = set(self.reasons())
-        if not pids:
-            return set()
-        col = np.fromiter(pids, dtype=np.int64, count=len(pids))
-        inside = col[col < len(isp_table)]
-        return set(int(r) for r in np.unique(isp_table[inside]))
 
     def reasons(self) -> Dict[int, int]:
         """Peer id → reason bitmask, materialized from the raw marks."""
@@ -493,12 +465,6 @@ class PeerStateStore:
         self._ids_monotone = True
         # Peer-id-indexed ISP lookup (−1 = offline).
         self._isp_table = np.full(64, -1, dtype=np.int64)
-        # Region-column generation: bumped by every _isp_table mutation
-        # (admit / remove / remove_batch) so regions_of can revalidate
-        # its memo — and downstream plan caches their keys — by
-        # (identity, version) instead of an elementwise compare.
-        self._region_version = 0
-        self._regions_memo: Optional[Tuple[object, int, np.ndarray]] = None
         # Per-peer candidate entries: pid -> (nb_rows, nb_ids, nb_costs),
         # mirrored by a pid-indexed presence column so the fast
         # assembler can find missing entries without a Python probe per
@@ -635,7 +601,6 @@ class PeerStateStore:
             table[: len(self._isp_table)] = self._isp_table
             self._isp_table = table
         self._isp_table[peer.peer_id] = peer.isp
-        self._region_version += 1
 
     def admit(self, peer: Peer) -> None:
         group = self._ensure_group(peer)
@@ -698,7 +663,6 @@ class PeerStateStore:
             arr[idx : self._n - 1] = arr[idx + 1 : self._n]
         self._n -= 1
         self._isp_table[peer.peer_id] = -1
-        self._region_version += 1
         if self._cand.pop(peer.peer_id, None) is not None:
             self._cand_have[peer.peer_id] = False
             self.candidate_epoch += 1
@@ -747,7 +711,6 @@ class PeerStateStore:
             arr[:kept] = arr[:n][keep_order]
         self._n = kept
         self._isp_table[ids] = -1
-        self._region_version += 1
         for peer in peers:
             self.seed_ids.discard(peer.peer_id)
             if self._cand.pop(peer.peer_id, None) is not None:
@@ -820,42 +783,6 @@ class PeerStateStore:
     def isp_table(self) -> np.ndarray:
         """Peer-id-indexed ISP lookup table (−1 = offline; do not mutate)."""
         return self._isp_table
-
-    @property
-    def region_version(self) -> int:
-        """Generation counter of the ISP column (bumps on churn)."""
-        return self._region_version
-
-    def regions_of(self, peer_ids: np.ndarray) -> np.ndarray:
-        """ISP region per peer id (vectorized ``isp_table`` gather).
-
-        The region column the sharded solve path keys its row partition
-        on — request peers are always online, so entries are the actual
-        ISP ids (offline ids would read −1).
-
-        Memoized by (``peer_ids`` identity, :attr:`region_version`):
-        repeated calls with the same peer array — every re-bid round,
-        and every stable-membership slot whose problem carries the
-        cached request column forward — return the *same* read-only
-        array, which lets the sharded solver revalidate its row
-        partition by identity instead of an elementwise compare.
-        """
-        memo = self._regions_memo
-        if memo is not None:
-            ref, version, cached = memo
-            if version == self._region_version and ref() is peer_ids:
-                return cached
-        regions = self._isp_table[np.asarray(peer_ids, dtype=np.int64)]
-        regions.flags.writeable = False
-        try:
-            self._regions_memo = (
-                weakref.ref(peer_ids),
-                self._region_version,
-                regions,
-            )
-        except TypeError:  # plain lists etc. are not weak-referenceable
-            self._regions_memo = None
-        return regions
 
     def departure_scan(self, t: float, remove_finished: bool) -> List[int]:
         """Non-seed peers due to leave at slot boundary ``t``, dict order.

@@ -25,25 +25,9 @@ from repro.experiments.sweep import (
     render_solver_comparison,
     solver_comparison,
 )
+from repro.metrics.report import table_without_timing
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent.parent / "results"
-
-#: Column names whose values are wall-clock measurements.
-TIMING_COLUMNS = {"seconds", "solve_seconds"}
-
-
-def table_without_timing(text: str):
-    """Parse a rendered results table into rows of non-timing cells."""
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    header = lines[0].split()
-    keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
-    rows = [[header[i] for i in keep]]
-    for line in lines[2:]:  # skip the rule line
-        cells = line.split()
-        assert len(cells) == len(header), line
-        rows.append([cells[i] for i in keep])
-    return rows
-
 
 @pytest.mark.skipif(
     not (RESULTS / "ablation_solvers.txt").exists(),

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from repro.metrics.report import comparison_table, render_table, series_block, sparkline
+import pytest
+
+from repro.metrics.report import (
+    comparison_table,
+    render_table,
+    series_block,
+    sparkline,
+    table_without_timing,
+)
 from repro.metrics.timeseries import TimeSeries
 
 
@@ -44,6 +52,24 @@ class TestRenderTable:
     def test_floats_formatted_compactly(self):
         text = render_table(["v"], [[0.123456789]])
         assert "0.1235" in text
+
+
+class TestTableWithoutTiming:
+    def test_timing_columns_dropped(self):
+        fast = render_table(["solver", "welfare", "seconds"], [["lp", 1.5, 0.01]])
+        slow = render_table(["solver", "welfare", "seconds"], [["lp", 1.5, 2.0]])
+        assert fast != slow
+        assert table_without_timing(fast) == table_without_timing(slow)
+        assert table_without_timing(fast) == [["solver", "welfare"], ["lp", "1.5"]]
+
+    def test_deterministic_cells_still_compared(self):
+        a = render_table(["welfare", "solve_seconds"], [[1.5, 0.1]])
+        b = render_table(["welfare", "solve_seconds"], [[1.6, 0.1]])
+        assert table_without_timing(a) != table_without_timing(b)
+
+    def test_non_table_rejected(self):
+        with pytest.raises(ValueError, match="table row"):
+            table_without_timing("one two\n---\nthree")
 
 
 class TestBlocks:

@@ -34,7 +34,6 @@ def minimal_record() -> dict:
         "traffic": {"inter": 1, "intra": 1},
         "playback": {"due": 4, "missed": 2},
         "link": {"regime": "ideal", "transfers_failed": 0, "delay_ms": 0.0},
-        "sharded": None,
         "timing": {
             "build_s": 0.01, "solve_s": 0.02, "apply_s": 0.003,
             "playback_s": 0.001, "retry_s": 0.0, "slot_s": 0.04,
@@ -48,11 +47,7 @@ def traced_run(
     n_slots: int = 3,
     **overrides,
 ) -> Tuple[List[dict], P2PSystem]:
-    """Run a tiny static system with a memory sink; return its records.
-
-    The system is closed before returning; the records list is safe to
-    inspect afterwards.
-    """
+    """Run a tiny static system with a memory sink; return its records."""
     config = SystemConfig.tiny(seed=seed, **overrides)
     system = P2PSystem(config)
     system.populate_static(n_peers)
@@ -61,6 +56,5 @@ def traced_run(
         for _ in range(n_slots):
             system.run_slot()
     finally:
-        system.close()
         tracer.close()
     return tracer.records(), system

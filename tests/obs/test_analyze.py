@@ -19,25 +19,13 @@ from repro.obs import (
 )
 
 
-def make_trace(n_slots: int = 3, sharded: bool = False) -> list:
+def make_trace(n_slots: int = 3) -> list:
     records = []
     for slot in range(n_slots):
         record = minimal_record()
         record["slot"] = slot
         record["time"] = slot * 10.0
         record["welfare"] = 10.0 + slot
-        if sharded:
-            record["sharded"] = {
-                "coordination_rounds": 1,
-                "boundary_uploaders": 4,
-                "contested_rows": 2,
-                "fallbacks": 0,
-                "fallback_reason": "",
-                "procs": 2,
-                "par_shards": 3,
-                "worker_fallbacks": 0,
-                "blocks_republished": 5 if slot else -1,
-            }
         records.append(record)
     return records
 
@@ -81,15 +69,6 @@ class TestTotals:
         assert totals["builds_cold"] == 3
         assert totals["inter_frac"] == pytest.approx(0.5)
         assert totals["miss_rate"] == pytest.approx(0.5)
-        assert "procs" not in totals  # no sharded block, no sharded totals
-
-    def test_sharded_trace_aggregates(self):
-        totals = trace_totals(make_trace(3, sharded=True))
-        assert totals["coordination_rounds"] == 3
-        assert totals["procs"] == 2
-        assert totals["par_shards"] == 9
-        # The -1 "not reported" sentinel never enters the sum.
-        assert totals["blocks_republished"] == 10
 
 
 class TestRendering:
@@ -105,7 +84,7 @@ class TestRendering:
         assert "… 5 more slots" in text
 
     def test_diff_identical_traces_is_all_zero(self):
-        trace = make_trace(3, sharded=True)
+        trace = make_trace(3)
         text = diff_traces(trace, copy.deepcopy(trace), "a", "b")
         for line in text.splitlines()[3:]:
             assert line.split()[-1] == "0", line
@@ -127,7 +106,7 @@ class TestRendering:
         assert "timing" not in text
 
     def test_rollup_one_row_per_trace(self):
-        text = rollup_traces({"flat": make_trace(2), "sharded": make_trace(2, True)})
+        text = rollup_traces({"a": make_trace(2), "b": make_trace(2)})
         lines = text.splitlines()
         assert lines[0] == "Trace rollup"
         assert len(lines) == 5  # title + header + rule + 2 rows

@@ -57,12 +57,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="solver.rows_evaluated"):
             validate_trace_record(record)
 
-    def test_rejects_non_dict_sharded(self):
-        record = minimal_record()
-        record["sharded"] = "yes"
-        with pytest.raises(ValueError, match="sharded"):
-            validate_trace_record(record)
-
     def test_rejects_bool_for_numeric(self):
         record = minimal_record()
         record["welfare"] = True

@@ -1,11 +1,11 @@
 """Warm-started prices through the slot loop (config-gated re-bids).
 
 ``warm_start_prices`` feeds each bid round's final λ into the next
-round's auction; ``warm_start_across_slots`` carries λ over the slot
-boundary.  Both default off — every archived experiment regenerates
-cold — so these tests pin the plumbing: flag validation, tuple/dict
-price-form equivalence at the solver, carry semantics, and graceful
-no-op for schedulers without warm-start support.
+round's auction within a slot; every slot's first round starts cold.
+Default off — every archived experiment regenerates cold — so these
+tests pin the plumbing: tuple/dict price-form equivalence at the
+solver, within-slot carry semantics, and graceful no-op for schedulers
+without warm-start support.
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ from repro.p2p.system import P2PSystem
 
 
 class TestConfigFlags:
-    def test_across_slots_requires_warm_start(self):
-        with pytest.raises(ValueError, match="warm_start_across_slots"):
-            SystemConfig.tiny(warm_start_across_slots=True).validate()
-
     def test_flags_accepted(self):
-        config = SystemConfig.tiny(
-            warm_start_prices=True, warm_start_across_slots=True
-        )
+        config = SystemConfig.tiny(warm_start_prices=True)
         config.validate()
         assert config.warm_start_prices
 
@@ -102,19 +96,26 @@ class TestSlotLoop:
         assert 0.0 <= totals["miss_rate"] <= 1.0
 
     def test_within_slot_only_does_not_carry(self):
-        system = self._system(warm_start_prices=True)
-        system.run_slot()
-        assert system._carry_prices is None
+        """Rounds 2..R of a slot start warm; each slot's first is cold."""
 
-    def test_across_slots_carries(self):
-        system = self._system(
-            warm_start_prices=True, warm_start_across_slots=True
+        class Recording(AuctionScheduler):
+            def __init__(self):
+                super().__init__(epsilon=0.01)
+                self.warm = []
+
+            def schedule(self, problem, initial_prices=None):
+                self.warm.append(initial_prices is not None)
+                return super().schedule(problem, initial_prices=initial_prices)
+
+        scheduler = Recording()
+        config = SystemConfig.tiny(
+            seed=11, bid_rounds_per_slot=3, warm_start_prices=True
         )
+        system = P2PSystem(config, scheduler=scheduler)
+        system.populate_static(12)
         system.run_slot()
-        assert system._carry_prices is not None
-        ids, vals = system._carry_prices
-        assert len(ids) == len(vals)
-        system.run_slot()  # consumes the carried λ without error
+        system.run_slot()
+        assert scheduler.warm == [False, True, True] * 2
 
     def test_warm_flag_ignored_for_schedulers_without_support(self):
         system = self._system(warm_start_prices=True, scheduler="locality")

@@ -1,11 +1,9 @@
 """Property: slot traces are a pure function of (config, seed).
 
 The canonical (timing-stripped) serialization of every emitted span must
-be byte-identical across repeated runs of the same seed, across solver
-configurations that are pinned schedule-equivalent (flat vs sharded on
-capacity-ample workloads is *not* required here — only that each
-configuration replays itself), and across the order systems are built
-in.  This is what makes committed example traces diffable: ``repro
+be byte-identical across repeated runs of the same seed, for every
+build configuration (each configuration replays itself), and across
+the order systems are built in.  This is what makes committed example traces diffable: ``repro
 trace diff`` on two runs shows real counter differences, never noise.
 Runs under the deterministic ``repro-props`` profile via
 ``make test-props``.
@@ -28,7 +26,6 @@ configs = st.fixed_dictionaries(
         "n_peers": st.integers(5, 20),
         "churn": st.booleans(),
         "incremental_build": st.booleans(),
-        "sharded_solve": st.booleans(),
     }
 )
 
@@ -37,16 +34,12 @@ def _trace(params: dict, n_slots: int = 3) -> List[str]:
     config = SystemConfig.tiny(
         seed=params["seed"],
         incremental_build=params["incremental_build"],
-        sharded_solve=params["sharded_solve"],
     )
     system = P2PSystem(config)
     system.populate_static(params["n_peers"])
     tracer = system.attach_tracer(MemoryTraceSink())
-    try:
-        for _ in range(n_slots):
-            system.run_slot(churn=params["churn"])
-    finally:
-        system.close()
+    for _ in range(n_slots):
+        system.run_slot(churn=params["churn"])
     records = tracer.records()
     for record in records:
         validate_trace_record(record)
@@ -74,20 +67,15 @@ def test_trace_unaffected_by_sibling_system_construction(params):
     config = SystemConfig.tiny(
         seed=params["seed"],
         incremental_build=params["incremental_build"],
-        sharded_solve=params["sharded_solve"],
     )
     sibling = P2PSystem(SystemConfig.tiny(seed=params["seed"] + 1))
     sibling.populate_static(8)
     system = P2PSystem(config)
     system.populate_static(params["n_peers"])
     tracer = system.attach_tracer(MemoryTraceSink())
-    try:
-        for _ in range(3):
-            sibling.run_slot()
-            system.run_slot(churn=params["churn"])
-    finally:
-        sibling.close()
-        system.close()
+    for _ in range(3):
+        sibling.run_slot()
+        system.run_slot(churn=params["churn"])
     interleaved = [canonical_line(r) for r in tracer.records()]
     assert interleaved == baseline
 
@@ -113,8 +101,6 @@ def test_memory_and_jsonl_sinks_agree(seed, tmp_path_factory):
         for _ in range(2):
             mem_system.run_slot()
             file_system.run_slot()
-        mem_system.close()
-        file_system.close()
     loaded = load_trace(path)
     emitted = mem_tracer.records()
     assert [strip_timing(r) for r in loaded] == [

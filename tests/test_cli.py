@@ -43,3 +43,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig2" in out
         assert "shape checks" in out
+
+    def test_trace_record_traces_bench_config_as_is(self, tmp_path, capsys):
+        """``trace record`` spans equal a direct traced loop at R=4."""
+        from repro.obs import MemoryTraceSink, canonical_line, load_trace
+        from repro.p2p.config import SystemConfig
+        from repro.p2p.system import P2PSystem
+
+        out = tmp_path / "trace.jsonl"
+        argv = ["--seed", "3", "trace", "record", str(out),
+                "--peers", "40", "--slots", "2"]
+        assert main(argv) == 0
+        assert "wrote 2 slot spans" in capsys.readouterr().out
+
+        config = SystemConfig.bench(seed=3)
+        assert config.bid_rounds_per_slot == 4
+        system = P2PSystem(config)
+        system.populate_static(40)
+        tracer = system.attach_tracer(MemoryTraceSink())
+        for _ in range(2):
+            system.run_slot()
+        expected = [canonical_line(r) for r in tracer.records()]
+        assert [canonical_line(r) for r in load_trace(out)] == expected
